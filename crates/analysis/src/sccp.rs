@@ -18,7 +18,8 @@
 use std::collections::{HashMap, HashSet};
 
 use streamit_graph::{
-    BinOp, DataType, Expr, Filter, Intrinsic, LValue, StateInit, Stmt, UnOp, Value,
+    float_add, float_mul, BinOp, DataType, Expr, Filter, Intrinsic, LValue, StateInit, Stmt, UnOp,
+    Value,
 };
 
 use crate::cfg::{Cfg, Node};
@@ -71,9 +72,9 @@ fn int_binop(op: BinOp, a: i64, b: i64) -> Option<Value> {
 /// division never traps; bitwise falls back through `as i64`).
 fn float_binop(op: BinOp, a: f64, b: f64) -> Option<Value> {
     Some(match op {
-        BinOp::Add => Value::Float(a + b),
+        BinOp::Add => Value::Float(float_add(a, b)),
         BinOp::Sub => Value::Float(a - b),
-        BinOp::Mul => Value::Float(a * b),
+        BinOp::Mul => Value::Float(float_mul(a, b)),
         BinOp::Div => Value::Float(a / b),
         BinOp::Rem => Value::Float(a % b),
         BinOp::Eq => Value::Int((a == b) as i64),
@@ -210,28 +211,40 @@ pub fn state_seeds(f: &Filter, pinned: &HashSet<String>) -> StateSeeds {
 }
 
 /// Names whose binding is ambiguous under simple name-based tracking:
-/// any name introduced more than once across state fields, `let`/array
-/// declarations, and loop variables.  The analyses treat these as
-/// untrackable (never constant, never dead).
+/// any name declared more than once across state fields and
+/// `let`/array declarations, and any loop variable that shares its name
+/// with such a declaration or with an enclosing loop's variable.  The
+/// analyses treat these as untrackable (never constant, never dead).
+///
+/// Sibling loops may reuse a variable name: each loop binds it afresh
+/// before its body reads it, and no read can see it between the loops.
 pub fn pinned_names(f: &Filter, block: &[Stmt]) -> HashSet<String> {
     let mut count: HashMap<&str, usize> = HashMap::new();
     for sv in &f.state {
         *count.entry(sv.name.as_str()).or_insert(0) += 1;
     }
+    let mut loop_vars = HashSet::new();
+    let mut pinned = HashSet::new();
     streamit_graph::work::visit_block(block, &mut |s| match s {
         Stmt::Let { name, .. } | Stmt::LetArray { name, .. } => {
             *count.entry(name.as_str()).or_insert(0) += 1;
         }
-        Stmt::For { var, .. } => {
-            *count.entry(var.as_str()).or_insert(0) += 1;
+        Stmt::For { var, body, .. } => {
+            loop_vars.insert(var.as_str());
+            streamit_graph::work::visit_block(body, &mut |inner| {
+                if matches!(inner, Stmt::For { var: v, .. } if v == var) {
+                    pinned.insert(var.to_string());
+                }
+            });
         }
         _ => {}
     });
-    count
-        .into_iter()
-        .filter(|&(_, c)| c > 1)
-        .map(|(n, _)| n.to_string())
-        .collect()
+    for (name, c) in count {
+        if c > 1 || loop_vars.contains(name) {
+            pinned.insert(name.to_string());
+        }
+    }
+    pinned
 }
 
 /// Declared types of every trackable scalar: state fields plus unique

@@ -176,6 +176,49 @@ pub enum Inst {
         d: u16,
         idx: u16,
     },
+    /// `i[d] = input[cursor + k]`: a peek at a literal offset, proved
+    /// non-negative when lowered (only the window check stays).
+    PeekKI {
+        d: u16,
+        k: u32,
+    },
+    PeekKF {
+        d: u16,
+        k: u32,
+    },
+    /// `f[d] = f[a] op k`: float arithmetic (`Add..Rem`) with a literal
+    /// right operand.
+    ArithFK {
+        op: BinOp,
+        d: u16,
+        a: u16,
+        k: f64,
+    },
+    /// `f[d] = k op f[b]`: float arithmetic with a literal left operand.
+    ArithKF {
+        op: BinOp,
+        d: u16,
+        k: f64,
+        b: u16,
+    },
+    /// `f[d] = f[a] + input[cursor + k] * c`: one unrolled FIR tap on a
+    /// float tape, rounded twice like the `Mul` then `Add` it replaces.
+    MacK {
+        d: u16,
+        a: u16,
+        k: u16,
+        c: f64,
+    },
+    /// `f[d] = f[d] + input[cursor + i[idx]] * af[base + i[j]]`: one FIR
+    /// tap of a loop, accumulating in place.  Checks run in the order of
+    /// the unfused sequence: peek index sign, peek window, array bounds.
+    MacL {
+        d: u16,
+        idx: u16,
+        j: u16,
+        base: u32,
+        len: u32,
+    },
     PopI {
         d: u16,
     },
@@ -197,6 +240,61 @@ pub enum Inst {
         c: u16,
         target: u32,
     },
+}
+
+// The dispatch loop streams instructions; fused forms must not widen them.
+const _: () = assert!(std::mem::size_of::<Inst>() == 16);
+
+impl Inst {
+    /// The register this instruction only writes (never reads), with its
+    /// bank — the one lowering may redirect to skip a copy.
+    fn dest_mut(&mut self) -> Option<(&mut u16, Ty)> {
+        use Inst::*;
+        match self {
+            ConstI { d, .. }
+            | MovI { d, .. }
+            | CastFI { d, .. }
+            | BinI { d, .. }
+            | CmpF { d, .. }
+            | NegI { d, .. }
+            | NotI { d, .. }
+            | NotF { d, .. }
+            | BitNotI { d, .. }
+            | TruthyF { d, .. }
+            | AbsI { d, .. }
+            | MinMaxI { d, .. }
+            | LoadI { d, .. }
+            | PeekI { d, .. }
+            | PeekKI { d, .. }
+            | PopI { d } => Some((d, Ty::I)),
+            ConstF { d, .. }
+            | MovF { d, .. }
+            | CastIF { d, .. }
+            | ArithF { d, .. }
+            | ArithFK { d, .. }
+            | ArithKF { d, .. }
+            | NegF { d, .. }
+            | Call1F { d, .. }
+            | AbsF { d, .. }
+            | PowF { d, .. }
+            | MinMaxF { d, .. }
+            | LoadF { d, .. }
+            | PeekF { d, .. }
+            | PeekKF { d, .. }
+            | MacK { d, .. }
+            | PopF { d } => Some((d, Ty::F)),
+            // `MacL` reads its destination as the accumulator.
+            MacL { .. }
+            | StoreI { .. }
+            | StoreF { .. }
+            | ZeroI { .. }
+            | ZeroF { .. }
+            | PushI { .. }
+            | PushF { .. }
+            | Jmp { .. }
+            | Jz { .. } => None,
+        }
+    }
 }
 
 /// Declared (pop, window, push) rates of one body, where `window` is
@@ -265,6 +363,23 @@ enum Sym {
     ScalarF(u16),
     ArrayI(u32, u32),
     ArrayF(u32, u32),
+}
+
+/// The value of a literal expression.
+fn literal(e: &Expr) -> Option<Value> {
+    match *e {
+        Expr::IntLit(v) => Some(Value::Int(v)),
+        Expr::FloatLit(v) => Some(Value::Float(v)),
+        _ => None,
+    }
+}
+
+/// A literal peek offset that fits `T`, hence is non-negative.
+fn const_offset<T: TryFrom<i64>>(e: &Expr) -> Option<T> {
+    match *e {
+        Expr::IntLit(k) => T::try_from(k).ok(),
+        _ => None,
+    }
 }
 
 const MAX_REGS: u32 = 60_000;
@@ -372,6 +487,37 @@ impl Lowerer {
         }
     }
 
+    /// Register-allocation watermark, taken before lowering a value.
+    fn mark(&self) -> (u32, u32) {
+        (self.next_i, self.next_f)
+    }
+
+    /// Was `r` allocated since `mark`?  Such a temp is written once, by
+    /// the instruction that computes it, and no name is bound to it.
+    fn fresh(&self, r: u16, ty: Ty, mark: (u32, u32)) -> bool {
+        match ty {
+            Ty::I => r as u32 >= mark.0,
+            Ty::F => r as u32 >= mark.1,
+        }
+    }
+
+    /// Make the last instruction write `to` instead of the fresh temp
+    /// `from` it computed, replacing a trailing `Mov to, from`.  Every
+    /// instruction reads its sources before its write, and writes only
+    /// when its checks pass, so `to` is left as unfused code leaves it.
+    fn retarget(&mut self, from: u16, ty: Ty, to: u16, mark: (u32, u32)) -> bool {
+        if !self.fresh(from, ty, mark) {
+            return false;
+        }
+        match self.code.last_mut().and_then(Inst::dest_mut) {
+            Some((d, t)) if *d == from && t == ty => {
+                *d = to;
+                true
+            }
+            _ => false,
+        }
+    }
+
     /// Reduce a typed register to an int truthiness flag
     /// (`Value::is_truthy`): ints are used directly (`Jz` tests `!= 0`),
     /// floats go through `TruthyF` (NaN is truthy, as `f != 0.0` holds).
@@ -428,6 +574,23 @@ impl Lowerer {
                 let in_ty = self
                     .in_ty
                     .ok_or_else(|| "peek in a filter with no input".to_string())?;
+                // A literal offset needs no index register, and its sign
+                // check passes at lowering; a negative one stays unfused
+                // so it faults at runtime like the interpreter.
+                if let Some(k) = const_offset::<u32>(iexpr) {
+                    return match Ty::of(in_ty) {
+                        Ty::I => {
+                            let d = self.ri()?;
+                            self.emit(Inst::PeekKI { d, k })?;
+                            Ok((d, Ty::I))
+                        }
+                        Ty::F => {
+                            let d = self.rf()?;
+                            self.emit(Inst::PeekKF { d, k })?;
+                            Ok((d, Ty::F))
+                        }
+                    };
+                }
                 let iv = self.lower_expr(iexpr)?;
                 let idx = self.coerce_i(iv)?;
                 match Ty::of(in_ty) {
@@ -497,8 +660,136 @@ impl Lowerer {
     }
 
     fn lower_binary(&mut self, op: BinOp, a: &Expr, b: &Expr) -> Result<(u16, Ty), String> {
+        if op == BinOp::Add {
+            if let Some(r) = self.lower_mac_k(a, b)? {
+                return Ok((r, Ty::F));
+            }
+        }
+        let arith = matches!(
+            op,
+            BinOp::Add | BinOp::Sub | BinOp::Mul | BinOp::Div | BinOp::Rem
+        );
+        match (literal(a), literal(b)) {
+            (None, Some(k)) if arith => self.lower_arith_lit(op, a, b, k, true),
+            (Some(k), None) if arith => self.lower_arith_lit(op, b, a, k, false),
+            _ => {
+                let va = self.lower_expr(a)?;
+                let vb = self.lower_expr(b)?;
+                self.binary_regs(op, va, vb)
+            }
+        }
+    }
+
+    /// `e op k` (`lit_right`) or `k op e` with one literal operand: a
+    /// float result takes the literal as an immediate (`as_f64`, the
+    /// interpreter's coercion); an int one materializes it, as unfused
+    /// code does (literals are pure, so evaluation order is unchanged).
+    fn lower_arith_lit(
+        &mut self,
+        op: BinOp,
+        e: &Expr,
+        lit: &Expr,
+        k: Value,
+        lit_right: bool,
+    ) -> Result<(u16, Ty), String> {
+        let v = self.lower_expr(e)?;
+        if v.1 == Ty::I && k.data_type() == DataType::Int {
+            let kv = self.lower_expr(lit)?;
+            return if lit_right {
+                self.binary_regs(op, v, kv)
+            } else {
+                self.binary_regs(op, kv, v)
+            };
+        }
+        let s = self.coerce_f(v)?;
+        let d = self.rf()?;
+        let k = k.as_f64();
+        self.emit(if lit_right {
+            Inst::ArithFK { op, d, a: s, k }
+        } else {
+            Inst::ArithKF { op, d, k, b: s }
+        })?;
+        Ok((d, Ty::F))
+    }
+
+    /// `a + peek(k) * c` on a float tape, with literal `k` and `c`, as one
+    /// `MacK` — `None` (nothing emitted) for any other shape.
+    fn lower_mac_k(&mut self, a: &Expr, b: &Expr) -> Result<Option<u16>, String> {
+        let Expr::Binary(BinOp::Mul, p, c) = b else {
+            return Ok(None);
+        };
+        let (Expr::Peek(ie), Some(c)) = (&**p, literal(c)) else {
+            return Ok(None);
+        };
+        let (Some(k), Some(DataType::Float)) = (const_offset::<u16>(ie), self.in_ty) else {
+            return Ok(None);
+        };
         let va = self.lower_expr(a)?;
-        let vb = self.lower_expr(b)?;
+        let a = self.coerce_f(va)?;
+        let d = self.rf()?;
+        self.emit(Inst::MacK {
+            d,
+            a,
+            k,
+            c: c.as_f64(),
+        })?;
+        Ok(Some(d))
+    }
+
+    /// `x = x + peek(i) * arr[j]` on a float tape, float `x` and `arr`, as
+    /// one in-place `MacL`; `false` (nothing emitted) for any other shape.
+    /// `j` must be an int variable or an in-bounds literal, so reading
+    /// it after the peek cannot reorder a fault; a literal peek offset
+    /// must be non-negative.
+    fn lower_mac_l(&mut self, name: &str, d: u16, value: &Expr) -> Result<bool, String> {
+        let Expr::Binary(BinOp::Add, acc, m) = value else {
+            return Ok(false);
+        };
+        let (Expr::Var(acc), Expr::Binary(BinOp::Mul, p, h)) = (&**acc, &**m) else {
+            return Ok(false);
+        };
+        let (Expr::Peek(ie), Expr::Index(arr, je)) = (&**p, &**h) else {
+            return Ok(false);
+        };
+        if acc != name
+            || self.in_ty != Some(DataType::Float)
+            || matches!(**ie, Expr::IntLit(k) if k < 0)
+        {
+            return Ok(false);
+        }
+        let Some(Sym::ArrayF(base, len)) = self.lookup(arr) else {
+            return Ok(false);
+        };
+        let j = match &**je {
+            Expr::Var(jn) => match self.lookup(jn) {
+                Some(Sym::ScalarI(r)) => r,
+                _ => return Ok(false),
+            },
+            Expr::IntLit(v) if (0..len as i64).contains(v) => {
+                let r = self.ri()?;
+                self.emit(Inst::ConstI { d: r, v: *v })?;
+                r
+            }
+            _ => return Ok(false),
+        };
+        let iv = self.lower_expr(ie)?;
+        let idx = self.coerce_i(iv)?;
+        self.emit(Inst::MacL {
+            d,
+            idx,
+            j,
+            base,
+            len,
+        })?;
+        Ok(true)
+    }
+
+    fn binary_regs(
+        &mut self,
+        op: BinOp,
+        va: (u16, Ty),
+        vb: (u16, Ty),
+    ) -> Result<(u16, Ty), String> {
         if va.1 == Ty::I && vb.1 == Ty::I {
             // Both ints: `int_binop` for every operator.
             let d = self.ri()?;
@@ -647,6 +938,21 @@ impl Lowerer {
         }
     }
 
+    /// A loop bound in a register of its own: a fresh temp as it is,
+    /// anything else copied, since the body may assign whatever
+    /// variables the bound reads.
+    fn lower_bound(&mut self, e: &Expr) -> Result<u16, String> {
+        let mark = self.mark();
+        let v = self.lower_expr(e)?;
+        let r = self.coerce_i(v)?;
+        if self.fresh(r, Ty::I, mark) {
+            return Ok(r);
+        }
+        let d = self.ri()?;
+        self.emit(Inst::MovI { d, s: r })?;
+        Ok(d)
+    }
+
     fn lower_stmts(&mut self, stmts: &[Stmt]) -> Result<(), String> {
         for s in stmts {
             self.lower_stmt(s)?;
@@ -657,11 +963,21 @@ impl Lowerer {
     fn lower_stmt(&mut self, s: &Stmt) -> Result<(), String> {
         match s {
             Stmt::Let { name, ty, init } => {
+                let mark = self.mark();
                 let v = self.lower_expr(init)?;
                 let ty = Ty::of(*ty);
                 let src = self.coerce_ty(v, ty)?;
-                // Copy into a dedicated register: the initializer may
-                // alias another variable's register.
+                // A fresh temp becomes the variable's register; anything
+                // else is copied, as the initializer may alias another
+                // variable's register.
+                if self.fresh(src, ty, mark) {
+                    let sym = match ty {
+                        Ty::I => Sym::ScalarI(src),
+                        Ty::F => Sym::ScalarF(src),
+                    };
+                    self.declare(name, sym);
+                    return Ok(());
+                }
                 match ty {
                     Ty::I => {
                         let d = self.ri()?;
@@ -694,14 +1010,26 @@ impl Lowerer {
             }
             Stmt::Assign { target, value } => match target {
                 LValue::Var(name) => {
+                    if let Some(Sym::ScalarF(d)) = self.lookup(name) {
+                        if self.lower_mac_l(name, d, value)? {
+                            return Ok(());
+                        }
+                    }
+                    let mark = self.mark();
                     let v = self.lower_expr(value)?;
                     match self.lookup(name) {
                         Some(Sym::ScalarI(d)) => {
                             let s = self.coerce_i(v)?;
+                            if self.retarget(s, Ty::I, d, mark) {
+                                return Ok(());
+                            }
                             self.emit(Inst::MovI { d, s })
                         }
                         Some(Sym::ScalarF(d)) => {
                             let s = self.coerce_f(v)?;
+                            if self.retarget(s, Ty::F, d, mark) {
+                                return Ok(());
+                            }
                             self.emit(Inst::MovF { d, s })
                         }
                         _ => Err(format!("assignment to unknown variable `{name}`")),
@@ -761,19 +1089,10 @@ impl Lowerer {
                 }) {
                     return Err(format!("loop variable `{var}` re-declared in loop body"));
                 }
-                let lo_v = self.lower_expr(from)?;
-                let lo = self.coerce_i(lo_v)?;
-                let hi_v = self.lower_expr(to)?;
-                let hi = self.coerce_i(hi_v)?;
-                // Copy bounds into stable registers: the body may assign
-                // whatever variables `from`/`to` read.
-                let ctr = self.ri()?;
-                self.emit(Inst::MovI { d: ctr, s: lo })?;
-                let lim = self.ri()?;
-                self.emit(Inst::MovI { d: lim, s: hi })?;
+                let ctr = self.lower_bound(from)?;
+                let lim = self.lower_bound(to)?;
                 self.scopes.push(Vec::new());
                 let var_reg = self.ri()?;
-                self.emit(Inst::MovI { d: var_reg, s: ctr })?;
                 self.declare(var, Sym::ScalarI(var_reg));
                 let one = self.ri()?;
                 self.emit(Inst::ConstI { d: one, v: 1 })?;

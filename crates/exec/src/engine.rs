@@ -12,7 +12,7 @@
 use std::mem;
 use std::time::Instant;
 
-use streamit_graph::{DataType, Intrinsic, Value};
+use streamit_graph::{float_add, float_mul, DataType, Intrinsic, Value};
 use streamit_sched::ProfileReport;
 
 use crate::bytecode::{FilterCode, Inst, Program};
@@ -176,15 +176,13 @@ fn exec_program(
                 fr.i[d as usize] = int_binop(op, a, b)?;
             }
             Inst::ArithF { op, d, a, b } => {
-                let (a, b) = (fr.f[a as usize], fr.f[b as usize]);
-                fr.f[d as usize] = match op {
-                    streamit_graph::BinOp::Add => a + b,
-                    streamit_graph::BinOp::Sub => a - b,
-                    streamit_graph::BinOp::Mul => a * b,
-                    streamit_graph::BinOp::Div => a / b,
-                    streamit_graph::BinOp::Rem => a % b,
-                    _ => return Err("non-arithmetic op in ArithF".into()),
-                };
+                fr.f[d as usize] = float_arith(op, fr.f[a as usize], fr.f[b as usize])?;
+            }
+            Inst::ArithFK { op, d, a, k } => {
+                fr.f[d as usize] = float_arith(op, fr.f[a as usize], k)?;
+            }
+            Inst::ArithKF { op, d, k, b } => {
+                fr.f[d as usize] = float_arith(op, k, fr.f[b as usize])?;
             }
             Inst::CmpF { op, d, a, b } => {
                 let (a, b) = (fr.f[a as usize], fr.f[b as usize]);
@@ -271,6 +269,49 @@ fn exec_program(
                     _ => return Err("float peek on non-float tape".into()),
                 }
             }
+            Inst::PeekKI { d, k } => match input.as_deref() {
+                Some(Tape::I(r)) => {
+                    fr.i[d as usize] = r
+                        .get(pops + k as u64)
+                        .ok_or("peek beyond available input")?;
+                }
+                _ => return Err("int peek on non-int tape".into()),
+            },
+            Inst::PeekKF { d, k } => match input.as_deref() {
+                Some(Tape::F(r)) => {
+                    fr.f[d as usize] = r
+                        .get(pops + k as u64)
+                        .ok_or("peek beyond available input")?;
+                }
+                _ => return Err("float peek on non-float tape".into()),
+            },
+            // The MACs round the product, then the sum (never `mul_add`),
+            // and keep the operand order of the `Mul` and `Add` they fuse.
+            Inst::MacK { d, a, k, c } => match input.as_deref() {
+                Some(Tape::F(r)) => {
+                    let p = r
+                        .get(pops + k as u64)
+                        .ok_or("peek beyond available input")?;
+                    fr.f[d as usize] = float_add(fr.f[a as usize], float_mul(p, c));
+                }
+                _ => return Err("float peek on non-float tape".into()),
+            },
+            Inst::MacL {
+                d,
+                idx,
+                j,
+                base,
+                len,
+            } => {
+                let k = peek_offset(fr.i[idx as usize], pops)?;
+                let p = match input.as_deref() {
+                    Some(Tape::F(r)) => r.get(k).ok_or("peek beyond available input")?,
+                    _ => return Err("float peek on non-float tape".into()),
+                };
+                let x = arena_index(fr.i[j as usize], len)?;
+                fr.f[d as usize] =
+                    float_add(fr.f[d as usize], float_mul(p, fr.af[base as usize + x]));
+            }
             Inst::PopI { d } => match input.as_deref() {
                 Some(Tape::I(r)) => {
                     fr.i[d as usize] = r.get(pops).ok_or("pop from empty tape")?;
@@ -341,6 +382,19 @@ fn int_binop(op: streamit_graph::BinOp, a: i64, b: i64) -> Result<i64, String> {
         BinOp::BitXor => a ^ b,
         BinOp::Shl => a.wrapping_shl(b as u32),
         BinOp::Shr => a.wrapping_shr(b as u32),
+    })
+}
+
+#[inline]
+fn float_arith(op: streamit_graph::BinOp, a: f64, b: f64) -> Result<f64, String> {
+    use streamit_graph::BinOp;
+    Ok(match op {
+        BinOp::Add => float_add(a, b),
+        BinOp::Sub => a - b,
+        BinOp::Mul => float_mul(a, b),
+        BinOp::Div => a / b,
+        BinOp::Rem => a % b,
+        _ => return Err("non-arithmetic op in ArithF".into()),
     })
 }
 
@@ -626,7 +680,7 @@ pub fn run_ops(
                         acc = Some(match acc {
                             None => v,
                             Some(Raw::I(a)) => Raw::I(a.wrapping_add(v.as_i64())),
-                            Some(Raw::F(a)) => Raw::F(a + v.as_f64()),
+                            Some(Raw::F(a)) => Raw::F(float_add(a, v.as_f64())),
                         });
                     }
                     if let Some(v) = acc {
@@ -645,4 +699,236 @@ pub fn run_ops(
         }
     }
     Ok(())
+}
+
+#[cfg(test)]
+mod tests {
+    use super::*;
+    use crate::bytecode::Rates;
+    use streamit_graph::BinOp;
+
+    /// Operands that expose a fused form's rounding, sign and NaN
+    /// handling: signed zeros, infinities, and NaNs with distinct
+    /// payloads (which operand order decides between).
+    const SPECIALS: [f64; 8] = [
+        1.5,
+        -3.25e-7,
+        -0.0,
+        0.0,
+        f64::INFINITY,
+        f64::NEG_INFINITY,
+        f64::NAN,
+        f64::from_bits(0xfff8_0000_0000_0123),
+    ];
+
+    fn float_tape(items: &[f64]) -> Tape {
+        let mut t = Tape::with_capacity(DataType::Float, items.len() as u64);
+        for &v in items {
+            t.push_f(v).unwrap();
+        }
+        t
+    }
+
+    fn frame() -> Frame {
+        Frame {
+            i: vec![0; 8],
+            f: vec![0.0; 8],
+            af: vec![0.0; 4],
+            ..Frame::default()
+        }
+    }
+
+    fn fire(code: Vec<Inst>, fr: &mut Frame, mut input: Tape) -> Result<(), String> {
+        let rates = Rates {
+            pop: 0,
+            window: 0,
+            push: 0,
+        };
+        exec_program(&Program { code, rates }, fr, Some(&mut input), None)
+    }
+
+    /// Fire `fused` and the `unfused` sequence it replaces on copies of
+    /// `fr`: same result or error text, and bit-identical registers
+    /// 0..4 (the unfused temps live in 4..8).
+    fn same(fused: Inst, unfused: Vec<Inst>, fr: &Frame, input: &Tape) {
+        let (mut a, mut b) = (fr.clone(), fr.clone());
+        let ra = fire(vec![fused.clone()], &mut a, input.clone());
+        let rb = fire(unfused, &mut b, input.clone());
+        assert_eq!(ra, rb, "{fused:?}");
+        let bits = |fr: &Frame| -> Vec<u64> {
+            let f = fr.f[..4].iter().map(|x| x.to_bits());
+            f.chain(fr.i[..4].iter().map(|&x| x as u64)).collect()
+        };
+        assert_eq!(bits(&a), bits(&b), "{fused:?} from {:?}", fr.f);
+    }
+
+    #[test]
+    fn literal_peeks_match_index_register_peeks() {
+        let floats = float_tape(&[2.5, -0.0]);
+        let mut ints = Tape::with_capacity(DataType::Int, 2);
+        ints.push_i(7).unwrap();
+        ints.push_i(-9).unwrap();
+        for k in 0..3u32 {
+            let idx = Inst::ConstI { d: 4, v: k as i64 };
+            for tape in [&floats, &ints] {
+                let peek_f = vec![idx.clone(), Inst::PeekF { d: 1, idx: 4 }];
+                same(Inst::PeekKF { d: 1, k }, peek_f, &frame(), tape);
+                let peek_i = vec![idx.clone(), Inst::PeekI { d: 1, idx: 4 }];
+                same(Inst::PeekKI { d: 1, k }, peek_i, &frame(), tape);
+            }
+        }
+    }
+
+    #[test]
+    fn literal_operand_arithmetic_matches_const_register() {
+        let ops = [BinOp::Add, BinOp::Sub, BinOp::Mul, BinOp::Div, BinOp::Rem];
+        let input = float_tape(&[]);
+        for op in ops {
+            for &x in &SPECIALS {
+                for &k in &SPECIALS {
+                    let mut fr = frame();
+                    fr.f[1] = x;
+                    let c = Inst::ConstF { d: 5, v: k };
+                    let right = vec![
+                        c.clone(),
+                        Inst::ArithF {
+                            op,
+                            d: 0,
+                            a: 1,
+                            b: 5,
+                        },
+                    ];
+                    same(Inst::ArithFK { op, d: 0, a: 1, k }, right, &fr, &input);
+                    let left = vec![
+                        c,
+                        Inst::ArithF {
+                            op,
+                            d: 0,
+                            a: 5,
+                            b: 1,
+                        },
+                    ];
+                    same(Inst::ArithKF { op, d: 0, k, b: 1 }, left, &fr, &input);
+                }
+            }
+        }
+    }
+
+    /// `d = a + peek(k) * c` unfused: the six instructions `MacK` replaces.
+    fn mac_k_unfused(d: u16, a: u16, k: u16, c: f64) -> Vec<Inst> {
+        vec![
+            Inst::ConstI { d: 4, v: k as i64 },
+            Inst::PeekF { d: 4, idx: 4 },
+            Inst::ConstF { d: 5, v: c },
+            Inst::ArithF {
+                op: BinOp::Mul,
+                d: 6,
+                a: 4,
+                b: 5,
+            },
+            Inst::ArithF {
+                op: BinOp::Add,
+                d: 7,
+                a,
+                b: 6,
+            },
+            Inst::MovF { d, s: 7 },
+        ]
+    }
+
+    #[test]
+    fn mac_k_matches_the_sequence_it_fuses() {
+        for &acc in &SPECIALS {
+            for &c in &SPECIALS {
+                for &x in &SPECIALS {
+                    let input = float_tape(&[9.0, x]);
+                    let mut fr = frame();
+                    fr.f[1] = acc;
+                    // k = 2 is past the window: both fault, `d` untouched.
+                    for k in [1u16, 2] {
+                        for d in [0u16, 1] {
+                            let fused = Inst::MacK { d, a: 1, k, c };
+                            same(fused, mac_k_unfused(d, 1, k, c), &fr, &input);
+                        }
+                    }
+                }
+            }
+        }
+    }
+
+    #[test]
+    fn mac_k_on_an_int_tape_fails_like_a_float_peek() {
+        let mut ints = Tape::with_capacity(DataType::Int, 1);
+        ints.push_i(3).unwrap();
+        let fused = Inst::MacK {
+            d: 0,
+            a: 1,
+            k: 0,
+            c: 2.0,
+        };
+        same(fused, mac_k_unfused(0, 1, 0, 2.0), &frame(), &ints);
+    }
+
+    #[test]
+    fn mac_l_matches_the_sequence_it_fuses_and_its_check_order() {
+        let unfused = vec![
+            Inst::PeekF { d: 4, idx: 0 },
+            Inst::LoadF {
+                d: 5,
+                base: 1,
+                len: 3,
+                idx: 1,
+            },
+            Inst::ArithF {
+                op: BinOp::Mul,
+                d: 6,
+                a: 4,
+                b: 5,
+            },
+            Inst::ArithF {
+                op: BinOp::Add,
+                d: 7,
+                a: 0,
+                b: 6,
+            },
+            Inst::MovF { d: 0, s: 7 },
+        ];
+        let fused = Inst::MacL {
+            d: 0,
+            idx: 0,
+            j: 1,
+            base: 1,
+            len: 3,
+        };
+        let mut faults = std::collections::BTreeSet::new();
+        for (n, &acc) in SPECIALS.iter().enumerate() {
+            let input = float_tape(&[SPECIALS[(n + 3) % 8], SPECIALS[(n + 5) % 8]]);
+            for w in SPECIALS.chunks(3) {
+                // Peek index -1 and 2 fault (sign, window); array index
+                // -1 and 3 fault (bounds); the peek's checks come first.
+                for idx in -1..=2 {
+                    for j in -1..=3 {
+                        let mut fr = frame();
+                        fr.f[0] = acc;
+                        fr.af[1..1 + w.len()].copy_from_slice(w);
+                        fr.i[0] = idx;
+                        fr.i[1] = j;
+                        same(fused.clone(), unfused.clone(), &fr, &input);
+                        if let Err(e) = fire(vec![fused.clone()], &mut fr, input.clone()) {
+                            faults.insert(e);
+                        }
+                    }
+                }
+            }
+        }
+        assert_eq!(
+            faults.into_iter().collect::<Vec<_>>(),
+            [
+                "array index -1 out of bounds (len 3)",
+                "array index 3 out of bounds (len 3)",
+                "peek at negative index -1",
+                "peek beyond available input",
+            ]
+        );
+    }
 }

@@ -44,6 +44,6 @@ pub use flat::{Edge, EdgeId, FlatGraph, FlatNode, FlatNodeKind, NodeId};
 pub use kernel::{KernelRow, KernelSpec};
 pub use steady::{repetition_vector, steady_flows, SteadyError};
 pub use stream::{FeedbackLoop, Joiner, Pipeline, SplitJoin, Splitter, StreamNode};
-pub use types::{DataType, Value};
+pub use types::{float_add, float_mul, DataType, Value};
 pub use validate::{validate, ValidationError};
 pub use work::{BinOp, Expr, Intrinsic, LValue, Stmt, UnOp};

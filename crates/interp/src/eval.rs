@@ -8,7 +8,7 @@
 
 use crate::error::RuntimeError;
 use std::collections::HashMap;
-use streamit_graph::{BinOp, Expr, LValue, Stmt, UnOp, Value};
+use streamit_graph::{float_add, float_mul, BinOp, Expr, LValue, Stmt, UnOp, Value};
 
 /// A variable slot: scalar or array.
 #[derive(Debug, Clone, PartialEq)]
@@ -133,9 +133,9 @@ fn int_binop(node: &str, op: BinOp, a: i64, b: i64) -> Result<Value, RuntimeErro
 
 fn float_binop(node: &str, op: BinOp, a: f64, b: f64) -> Result<Value, RuntimeError> {
     Ok(match op {
-        BinOp::Add => Value::Float(a + b),
+        BinOp::Add => Value::Float(float_add(a, b)),
         BinOp::Sub => Value::Float(a - b),
-        BinOp::Mul => Value::Float(a * b),
+        BinOp::Mul => Value::Float(float_mul(a, b)),
         BinOp::Div => Value::Float(a / b),
         BinOp::Rem => Value::Float(a % b),
         BinOp::Eq => Value::Int((a == b) as i64),

@@ -538,7 +538,9 @@ impl<'g> Machine<'g> {
                     acc = Some(match acc {
                         None => v,
                         Some(Value::Int(a)) => Value::Int(a + v.as_i64()),
-                        Some(Value::Float(a)) => Value::Float(a + v.as_f64()),
+                        Some(Value::Float(a)) => {
+                            Value::Float(streamit_graph::float_add(a, v.as_f64()))
+                        }
                     });
                 }
                 if let Some(v) = acc {

@@ -358,35 +358,51 @@ fn handle_conn(daemon: &Daemon, conn: Conn, shutdown: &AtomicBool, poll: Duratio
     if conn.set_read_timeout(poll).is_err() {
         return;
     }
-    let writer = match conn.try_clone() {
-        Ok(w) => w,
-        Err(_) => return,
+    let Ok(mut writer) = conn.try_clone() else {
+        return;
     };
-    let mut writer = writer;
-    let mut reader = BufReader::new(conn);
-    let mut line = String::new();
+    serve_lines(daemon, &mut BufReader::new(conn), &mut writer, shutdown);
+}
+
+/// Answer newline-terminated requests from `reader` until EOF, `QUIT`, a
+/// read or write error, or shutdown.  A read poll that ends mid-line
+/// (`WouldBlock`/`TimedOut`) keeps the bytes read so far: the line is
+/// cleared only once it has been handled.
+fn serve_lines(
+    daemon: &Daemon,
+    reader: &mut impl BufRead,
+    writer: &mut impl Write,
+    shutdown: &AtomicBool,
+) {
+    let mut line = Vec::new();
     while !shutdown.load(Ordering::SeqCst) {
-        line.clear();
-        match reader.read_line(&mut line) {
+        match reader.read_until(b'\n', &mut line) {
             Ok(0) => return, // EOF
             Ok(_) => {
-                let trimmed = line.trim();
-                if trimmed.is_empty() {
-                    continue;
-                }
+                let Ok(text) = std::str::from_utf8(&line) else {
+                    return;
+                };
+                let trimmed = text.trim();
                 if trimmed.eq_ignore_ascii_case("QUIT") {
                     let _ = writer.write_all(b"OK bye\n");
                     return;
                 }
-                let resp = handle_line(daemon, trimmed);
-                if writer.write_all(resp.as_bytes()).is_err() || writer.flush().is_err() {
-                    return;
+                if !trimmed.is_empty() {
+                    let resp = handle_line(daemon, trimmed);
+                    if writer.write_all(resp.as_bytes()).is_err() || writer.flush().is_err() {
+                        return;
+                    }
                 }
+                line.clear();
             }
-            Err(e) if e.kind() == ErrorKind::WouldBlock || e.kind() == ErrorKind::TimedOut => {
+            Err(e)
+                if matches!(
+                    e.kind(),
+                    ErrorKind::WouldBlock | ErrorKind::TimedOut | ErrorKind::Interrupted
+                ) =>
+            {
                 continue;
             }
-            Err(e) if e.kind() == ErrorKind::Interrupted => continue,
             Err(_) => return,
         }
     }
@@ -524,6 +540,41 @@ fn handle_line_inner(daemon: &Daemon, line: &str) -> Result<String, Diag> {
 #[cfg(test)]
 mod tests {
     use super::*;
+    use std::collections::VecDeque;
+
+    /// A connection that delivers scripted chunks, with read polls that
+    /// time out in between, then EOF.
+    struct Chunked(VecDeque<Result<&'static [u8], ErrorKind>>);
+
+    impl Read for Chunked {
+        fn read(&mut self, buf: &mut [u8]) -> std::io::Result<usize> {
+            match self.0.pop_front() {
+                None => Ok(0),
+                Some(Err(kind)) => Err(kind.into()),
+                Some(Ok(bytes)) => {
+                    buf[..bytes.len()].copy_from_slice(bytes);
+                    Ok(bytes.len())
+                }
+            }
+        }
+    }
+
+    #[test]
+    fn request_split_across_read_polls_is_reassembled() {
+        let daemon = Daemon::new(crate::daemon::DaemonConfig::default());
+        let chunks = [
+            Ok(&b"PI"[..]),
+            Err(ErrorKind::WouldBlock),
+            Ok(&b"NG\nPI"[..]),
+            Err(ErrorKind::TimedOut),
+            Err(ErrorKind::WouldBlock),
+            Ok(&b"NG\n"[..]),
+        ];
+        let mut reader = BufReader::new(Chunked(chunks.into_iter().collect()));
+        let mut out = Vec::new();
+        serve_lines(&daemon, &mut reader, &mut out, &AtomicBool::new(false));
+        assert_eq!(String::from_utf8(out).unwrap(), "OK pong\nOK pong\n");
+    }
 
     #[test]
     fn listen_addr_parses_tcp_and_unix() {

@@ -227,3 +227,177 @@ fn generated_sweep_compares_a_healthy_fraction() {
          the differential property is near-vacuous"
     );
 }
+
+// ---- fused multiply-accumulate forms ------------------------------------
+//
+// FIR-shaped bodies from `irgen::gen_mac` exercise the superinstructions
+// the lowering fuses (literal peeks, literal operands, `MacK`, `MacL`,
+// assignment into the variable's register) at both optimizer levels:
+// level 1 unrolls and folds taps to literals, level 0 keeps the `h[k]`
+// reads.  Outputs must be bit-identical to the reference interpreter's,
+// and a faulting tap must fail with the unfused instruction's text.
+
+mod mac {
+    use std::collections::BTreeSet;
+
+    use streamit::exec::bytecode::Inst;
+    use streamit::exec::ExecError;
+    use streamit::graph::builder::FilterBuilder;
+    use streamit::graph::DataType;
+    use streamit::interp::RuntimeError;
+    use streamit::{Compiler, Options};
+
+    use super::irgen::{gen_mac, Gen};
+    use super::varied_input;
+
+    /// Run one generated case; returns the fused instruction kinds its
+    /// lowered code used.
+    pub(super) fn run_case(seed: u64, opt_level: u8) -> BTreeSet<&'static str> {
+        let case = gen_mac(&mut Gen(seed | 1));
+        let body = case.body.clone();
+        let f = FilterBuilder::new("mac", case.input)
+            .types(Some(case.input), Some(DataType::Float))
+            .rates(case.taps, 1, 1)
+            .coeffs("h", case.h.iter().copied())
+            .work(move |b| body.iter().cloned().fold(b, |b, s| b.stmt(s)))
+            .build_node();
+        let compiler = Compiler {
+            options: Options {
+                opt_level,
+                ..Options::default()
+            },
+        };
+        let p = compiler
+            .compile_stream(f)
+            .unwrap_or_else(|e| panic!("seed {seed}: must compile: {e}"));
+        let k = 3u64;
+        let input = varied_input(case.taps + k as usize);
+        let reference = p.run(&input, k as usize);
+        let cg = match p.compile_exec() {
+            Ok(cg) => cg,
+            Err(ExecError::Unsupported { reason }) => {
+                // Only a provably negative peek is refused (E0603); the
+                // interpreter faults on it at runtime.
+                assert!(case.negative_peek, "seed {seed}: declined: {reason}");
+                assert!(reason.contains("E0603"), "seed {seed}: {reason}");
+                let err = reference.expect_err("negative peek must fault");
+                assert!(
+                    matches!(&err, RuntimeError::IndexOutOfBounds { name, index, .. }
+                        if name == "peek" && *index < 0),
+                    "seed {seed}: {err}"
+                );
+                return BTreeSet::new();
+            }
+            Err(e) => panic!("seed {seed}: unexpected compile_exec error: {e}"),
+        };
+        assert!(!case.negative_peek, "seed {seed}: negative peek accepted");
+        let used = cg.plan().codes[0]
+            .work
+            .code
+            .iter()
+            .filter_map(|i| match i {
+                Inst::PeekKI { .. } => Some("PeekKI"),
+                Inst::PeekKF { .. } => Some("PeekKF"),
+                Inst::ArithFK { .. } => Some("ArithFK"),
+                Inst::ArithKF { .. } => Some("ArithKF"),
+                Inst::MacK { .. } => Some("MacK"),
+                Inst::MacL { .. } => Some("MacL"),
+                _ => None,
+            })
+            .collect();
+        let compiled = cg.run_steady(&input, k);
+        match (case.bad_index, compiled, reference) {
+            (None, Ok(c), Ok(mut r)) => {
+                r.truncate(c.len());
+                let cb: Vec<u64> = c.iter().map(|v| v.to_bits()).collect();
+                let rb: Vec<u64> = r.iter().map(|v| v.to_bits()).collect();
+                assert_eq!(
+                    cb, rb,
+                    "seed {seed}, opt {opt_level}: engines disagree\nh: {:?}\n{:#?}",
+                    case.h, case.body
+                );
+            }
+            (Some(bad), Err(ExecError::Fault { reason, .. }), Err(r)) => {
+                let len = case.taps;
+                assert_eq!(
+                    reason,
+                    format!("array index {bad} out of bounds (len {len})"),
+                    "seed {seed}"
+                );
+                assert!(
+                    matches!(&r, RuntimeError::IndexOutOfBounds { name, index, len: l, .. }
+                        if name == "h" && *index == bad && *l == len),
+                    "seed {seed}: reference failed differently: {r}"
+                );
+            }
+            (_, c, r) => panic!(
+                "seed {seed}: outcomes differ (bad index {:?}): compiled {c:?}, reference {r:?}",
+                case.bad_index
+            ),
+        }
+        used
+    }
+}
+
+/// Generated multiply-accumulate filters agree bit for bit with the
+/// reference interpreter at both optimizer levels, and between them
+/// the sweep lowers through every fused instruction.
+#[test]
+fn generated_mac_filters_agree_and_cover_every_fused_form() {
+    let mut used = std::collections::BTreeSet::new();
+    for seed in 0..160u64 {
+        for opt_level in [0, 1] {
+            used.extend(mac::run_case(seed, opt_level));
+        }
+    }
+    let all = ["ArithFK", "ArithKF", "MacK", "MacL", "PeekKF", "PeekKI"];
+    assert_eq!(used.into_iter().collect::<Vec<_>>(), all);
+}
+
+/// A peek at a negative literal offset is left unfused: it keeps its
+/// index register, so the runtime sign check (and its error) remain.
+#[test]
+fn negative_literal_peek_is_not_fused() {
+    use streamit::exec::bytecode::{lower_filter, Inst};
+    use streamit::graph::builder::*;
+    use streamit::graph::DataType;
+
+    let f = FilterBuilder::new("neg", DataType::Float)
+        .rates(1, 1, 1)
+        .work(|b| {
+            b.let_("sum", DataType::Float, lit(0.0))
+                .set("sum", var("sum") + peek(lit(-1i64)) * lit(0.5))
+                .push(var("sum"))
+                .pop_discard()
+        })
+        .build();
+    let fc = lower_filter(&f, "neg", Some(DataType::Float), Some(DataType::Float)).expect("lowers");
+    let code = &fc.work.code;
+    assert!(
+        code.iter().any(|i| matches!(i, Inst::ConstI { v: -1, .. }))
+            && code.iter().any(|i| matches!(i, Inst::PeekF { .. })),
+        "{code:?}"
+    );
+    assert!(
+        !code
+            .iter()
+            .any(|i| matches!(i, Inst::MacK { .. } | Inst::PeekKF { .. })),
+        "{code:?}"
+    );
+}
+
+/// Deterministic count guard for the fused FIR: a 64-tap
+/// `apps::common::fir` lowers (unrolled, taps folded) to one `MacK` per
+/// tap plus a handful of instructions around them.
+#[test]
+fn fir_64_taps_lowers_to_one_instruction_per_tap() {
+    let h: Vec<f64> = (0..64).map(|k| 1.0 / (k as f64 + 1.0)).collect();
+    let p = compile("fir64", apps::common::fir("Fir", &h));
+    let cg = p.compile_exec().expect("fir runs on the compiled engine");
+    let code = &cg.plan().codes[0].work.code;
+    assert!(
+        code.len() <= 64 + 8,
+        "{} instructions: {code:?}",
+        code.len()
+    );
+}

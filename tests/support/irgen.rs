@@ -6,10 +6,143 @@
 //! data-dependent loops, peeks, local variables) over the work-function
 //! IR.  Peek indices are restricted to constants and loop variables so
 //! generated programs never peek at a negative index at runtime.
+//!
+//! [`gen_mac`] produces FIR-shaped multiply-accumulate bodies instead:
+//! the shapes the compiled engine fuses, their near misses, and a few
+//! that fault on purpose.
 
 #![allow(dead_code)]
 
 use streamit::graph::{BinOp, DataType, Expr, LValue, Stmt};
+
+/// Coefficients and accumulator seeds for [`gen_mac`]: ordinary values
+/// beside NaNs (two payloads), signed zeros and infinities.
+pub const MAC_VALUES: [f64; 9] = [
+    0.75,
+    -1.0e-3,
+    3.0,
+    0.0,
+    -0.0,
+    f64::INFINITY,
+    f64::NEG_INFINITY,
+    f64::NAN,
+    f64::from_bits(0xfff8_0000_0000_0321),
+];
+
+/// One generated multiply-accumulate filter: `let sum = s0`, a run of
+/// `sum = sum + peek(k) * coeff` taps (unrolled, or one `for` loop), then
+/// `push(sum); pop()`.  The coefficient array is state `h`.
+pub struct MacCase {
+    pub input: DataType,
+    pub taps: usize,
+    pub h: Vec<f64>,
+    pub body: Vec<Stmt>,
+    /// A tap reads `h` at this literal, out-of-range index.
+    pub bad_index: Option<i64>,
+    /// A tap peeks at a negative literal offset.
+    pub negative_peek: bool,
+}
+
+fn peek(i: Expr) -> Expr {
+    Expr::Peek(Box::new(i))
+}
+
+fn tap(sum: &str, p: Expr, c: Expr) -> Stmt {
+    Stmt::Assign {
+        target: LValue::Var(sum.into()),
+        value: Expr::Binary(
+            BinOp::Add,
+            Box::new(Expr::Var(sum.into())),
+            Box::new(Expr::Binary(BinOp::Mul, Box::new(p), Box::new(c))),
+        ),
+    }
+}
+
+fn h_at(i: Expr) -> Expr {
+    Expr::Index("h".into(), Box::new(i))
+}
+
+pub fn gen_mac(g: &mut Gen) -> MacCase {
+    let pick = |g: &mut Gen| MAC_VALUES[g.below(MAC_VALUES.len() as u64) as usize];
+    let input = if g.below(4) == 0 {
+        DataType::Int
+    } else {
+        DataType::Float
+    };
+    // Loops over more than 256 taps are never unrolled, so they reach
+    // the lowering as loops even when the optimizer runs.
+    let rolled = g.below(2) == 0;
+    let taps = if rolled && g.below(2) == 0 {
+        257 + g.below(4) as usize
+    } else {
+        1 + g.below(8) as usize
+    };
+    let h: Vec<f64> = (0..taps).map(|_| pick(g)).collect();
+    let mut bad_index = None;
+    let mut negative_peek = false;
+    let mut body = vec![Stmt::Let {
+        name: "sum".into(),
+        ty: DataType::Float,
+        init: Expr::FloatLit(pick(g)),
+    }];
+    if rolled {
+        let i = || Expr::Var("i".into());
+        let j = match g.below(6) {
+            0 => Expr::IntLit(g.below(taps as u64) as i64),
+            1 => Expr::Binary(
+                BinOp::Sub,
+                Box::new(Expr::IntLit(taps as i64 - 1)),
+                Box::new(i()),
+            ),
+            2 => {
+                let bad = if g.below(2) == 0 { -1 } else { taps as i64 };
+                bad_index = Some(bad);
+                Expr::IntLit(bad)
+            }
+            _ => i(),
+        };
+        body.push(Stmt::For {
+            var: "i".into(),
+            from: Expr::IntLit(0),
+            to: Expr::IntLit(taps as i64),
+            body: vec![tap("sum", peek(i()), h_at(j))],
+        });
+    } else {
+        let faulty = g.below(5);
+        for k in 0..taps {
+            let last = k + 1 == taps;
+            let k = k as i64;
+            let p = if last && faulty == 0 {
+                negative_peek = true;
+                peek(Expr::IntLit(-1 - g.below(3) as i64))
+            } else {
+                peek(Expr::IntLit(k))
+            };
+            let c = if last && faulty == 1 {
+                let bad = if g.below(2) == 0 { -1 } else { taps as i64 };
+                bad_index = Some(bad);
+                h_at(Expr::IntLit(bad))
+            } else {
+                match g.below(3) {
+                    0 => Expr::FloatLit(pick(g)),
+                    1 => Expr::IntLit(g.below(5) as i64 - 2),
+                    _ => h_at(Expr::IntLit(k)),
+                }
+            };
+            body.push(tap("sum", p, c));
+        }
+    }
+    body.push(Stmt::Push(Expr::Var("sum".into())));
+    body.push(Stmt::Expr(Expr::Pop));
+    MacCase {
+        input,
+        taps,
+        h,
+        body,
+        bad_index,
+        negative_peek,
+    }
+}
 
 /// Deterministic splitmix64 over a case seed.
 pub struct Gen(pub u64);
