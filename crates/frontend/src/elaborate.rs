@@ -20,8 +20,8 @@ use crate::lexer::SourcePos;
 use std::collections::{HashMap, HashSet};
 use std::fmt;
 use streamit_graph::{
-    DataType, Expr, FeedbackLoop, Filter, Handler, Intrinsic, Joiner, LValue, Pipeline, PreWork,
-    SplitJoin, Splitter, StateInit, StateVar, Stmt, StreamNode, Value,
+    float_add, float_mul, DataType, Expr, FeedbackLoop, Filter, Handler, Intrinsic, Joiner, LValue,
+    Pipeline, PreWork, SplitJoin, Splitter, StateInit, StateVar, Stmt, StreamNode, Value,
 };
 use streamit_interp::{eval_block_bounded, EvalCtx, RuntimeError, Slot};
 
@@ -980,9 +980,9 @@ fn fold_binary(op: streamit_graph::BinOp, l: Expr, r: Expr) -> Expr {
     {
         if let (Some(a), Some(b)) = (as_f(&l), as_f(&r)) {
             let v = match op {
-                B::Add => a + b,
+                B::Add => float_add(a, b),
                 B::Sub => a - b,
-                B::Mul => a * b,
+                B::Mul => float_mul(a, b),
                 B::Div => a / b,
                 _ => unreachable!(),
             };
@@ -1063,9 +1063,9 @@ fn const_binop(op: streamit_graph::BinOp, a: Value, b: Value) -> Option<Value> {
         (x, y) => {
             let (x, y) = (x.as_f64(), y.as_f64());
             match op {
-                B::Add => Value::Float(x + y),
+                B::Add => Value::Float(float_add(x, y)),
                 B::Sub => Value::Float(x - y),
-                B::Mul => Value::Float(x * y),
+                B::Mul => Value::Float(float_mul(x, y)),
                 B::Div => Value::Float(x / y),
                 B::Rem => Value::Float(x % y),
                 B::Eq => Value::Int((x == y) as i64),
