@@ -207,6 +207,13 @@ pub struct BlockBuilder {
 }
 
 impl BlockBuilder {
+    /// An empty block.  Kept out of line on purpose: when it inlines,
+    /// rustc 1.95's MIR GVN pass folds the two empty builders that
+    /// [`BlockBuilder::if_else`] hands its arms into one value and
+    /// passes the then arm's (by then mutated) argument to the else arm
+    /// as well, so both arms share one `Vec` and dropping the block
+    /// frees it twice.  An opaque call gives every arm its own value.
+    #[inline(never)]
     pub fn new() -> Self {
         Self::default()
     }
@@ -541,6 +548,29 @@ pub fn identity(name: impl Into<String>, ty: DataType) -> StreamNode {
 #[cfg(test)]
 mod tests {
     use super::*;
+
+    /// Each arm of `if_else` gets its own statements; an empty arm
+    /// stays empty however the other arm is built.
+    #[test]
+    fn if_else_arms_do_not_share_storage() {
+        let block = BlockBuilder::new()
+            .if_else(pop(), |t| t.push(lit(1i64)), |e| e)
+            .if_else(pop(), |t| t, |e| e.push(lit(2i64)))
+            .build();
+        let arms: Vec<_> = block
+            .iter()
+            .map(|s| match s {
+                Stmt::If {
+                    then_body,
+                    else_body,
+                    ..
+                } => (then_body.clone(), else_body.clone()),
+                other => panic!("unexpected {other:?}"),
+            })
+            .collect();
+        let push = |v: i64| vec![Stmt::Push(Expr::IntLit(v))];
+        assert_eq!(arms, vec![(push(1), vec![]), (vec![], push(2))]);
+    }
 
     #[test]
     fn operator_overloading_builds_ir() {

@@ -502,15 +502,15 @@ fn migrate_shards(
     mut old: Vec<streamit_exec::engine::Shard>,
 ) -> Vec<streamit_exec::engine::Shard> {
     let mut fresh = run::build_shards(new_plan, &[], 1);
+    // Each live tape swaps places with its empty twin in `fresh`.
     let mv = |from: streamit_exec::plan::Loc,
               to: streamit_exec::plan::Loc,
               old: &mut Vec<streamit_exec::engine::Shard>,
               fresh: &mut Vec<streamit_exec::engine::Shard>| {
-        let t = std::mem::replace(
+        std::mem::swap(
             &mut old[from.shard as usize].tapes[from.slot as usize],
-            Tape::placeholder(),
+            &mut fresh[to.shard as usize].tapes[to.slot as usize],
         );
-        fresh[to.shard as usize].tapes[to.slot as usize] = t;
     };
     for (eid, &from) in old_plan.edge_tape.iter().enumerate() {
         let to = new_plan.edge_tape[eid];
@@ -526,8 +526,10 @@ fn migrate_shards(
     }
     for (nid, &from) in old_plan.node_frame.iter().enumerate() {
         if let (Some(f), Some(t)) = (from, new_plan.node_frame[nid]) {
-            fresh[t.shard as usize].frames[t.slot as usize] =
-                std::mem::take(&mut old[f.shard as usize].frames[f.slot as usize]);
+            std::mem::swap(
+                &mut old[f.shard as usize].frames[f.slot as usize],
+                &mut fresh[t.shard as usize].frames[t.slot as usize],
+            );
         }
     }
     fresh
